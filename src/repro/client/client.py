@@ -59,13 +59,7 @@ class FeisuClient:
 
     def check_syntax(self, sql: str) -> SyntaxReport:
         """Validate syntax only; never contacts the servers."""
-        try:
-            parse(sql)
-        except ParseError as exc:
-            hint = _hint_for(str(exc))
-            message = f"{exc}{('; ' + hint) if hint else ''}"
-            return SyntaxReport(ok=False, message=message, position=exc.position)
-        return SyntaxReport(ok=True)
+        return _parse_guided(sql)[1]
 
     def verify_access(self, sql: str) -> None:
         """Raise :class:`AccessDeniedError` if the user lacks rights to
@@ -81,10 +75,10 @@ class FeisuClient:
         """The client-side checks every submission path must pass: syntax
         with guided errors, then the ACL read pre-flight.  Returns the
         analyzed query so callers don't parse twice."""
-        report = self.check_syntax(sql)
+        query, report = _parse_guided(sql)
         if not report.ok:
             raise ParseError(report.message, position=report.position, text=sql)
-        analyzed = analyze(parse(sql), self.cluster.catalog)
+        analyzed = analyze(query, self.cluster.catalog)
         self.cluster.acl.check_read(self.user, [t.name for t in analyzed.tables.values()])
         return analyzed
 
@@ -201,3 +195,14 @@ def _hint_for(message: str) -> str:
         if needle in message:
             return hint
     return ""
+
+
+def _parse_guided(sql: str):
+    """``(statement or None, SyntaxReport)``: one parse, with a guided
+    error message and position on failure."""
+    try:
+        return parse(sql), SyntaxReport(ok=True)
+    except ParseError as exc:
+        hint = _hint_for(str(exc))
+        message = f"{exc}{('; ' + hint) if hint else ''}"
+        return None, SyntaxReport(ok=False, message=message, position=exc.position)

@@ -88,9 +88,10 @@ class ColumnChunk:
     def dictionary_parts(self) -> "Optional[tuple]":
         """``(uniques, codes)`` when dictionary-encoded, else None.
 
-        The fused pipeline (engine.pipeline) evaluates predicates on the
-        unique set and gathers payload rows as ``uniques[codes[rows]]``,
-        skipping the full ``decode()`` materialization.
+        The scan executors (engine.executor, engine.pipeline) evaluate
+        predicates on the unique set and gather payload rows as
+        ``uniques[codes[rows]]``, skipping the full ``decode()``
+        materialization.
         """
         codec = codec_by_tag(self.encoding_tag)
         if not hasattr(codec, "decode_parts"):
@@ -115,11 +116,12 @@ def _compute_stats(array: np.ndarray, dtype: DataType) -> ChunkStats:
     if dtype is DataType.BOOL:
         return ChunkStats(bool(array.min()), bool(array.max()), int(array.min() != array.max()) + 1)
     if dtype is DataType.STRING:
-        values = [str(v) for v in array]
-        uniq = set(values)
+        # One uniquing pass feeds min/max, the distinct count and the Bloom
+        # filter (which is never serialized: ``from_bytes`` drops it).
+        uniq = {str(v) for v in set(array.tolist())}
         bloom = BloomFilter(expected_items=len(uniq))
         bloom.update(uniq)
-        return ChunkStats(min(values), max(values), len(uniq), bloom)
+        return ChunkStats(min(uniq), max(uniq), len(uniq), bloom)
     uniq_count = len(np.unique(array))
     lo, hi = array.min(), array.max()
     if dtype is DataType.INT64:

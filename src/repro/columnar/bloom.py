@@ -38,7 +38,7 @@ class BloomFilter:
         self.count = 0
 
     def _positions(self, value: object) -> Iterable[int]:
-        digest = hashlib.blake2b(repr(value).encode("utf-8"), digest_size=16).digest()
+        digest = _digest(value)
         h1 = int.from_bytes(digest[:8], "little")
         h2 = int.from_bytes(digest[8:], "little") | 1
         for i in range(self.num_hashes):
@@ -50,8 +50,24 @@ class BloomFilter:
         self.count += 1
 
     def update(self, values: Iterable[object]) -> None:
-        for v in values:
-            self.add(v)
+        """Bulk :meth:`add`: every bit position first, then one scatter.
+
+        ``(h1 + i*h2) mod m`` is computed as ``(h1 mod m + i*(h2 mod m))
+        mod m`` so the uint64 arithmetic cannot overflow.
+        """
+        digests = b"".join(map(_digest, values))
+        if not digests:
+            return
+        halves = np.frombuffer(digests, dtype="<u8").reshape(-1, 2)
+        m = np.uint64(self.num_bits)
+        h1 = halves[:, 0] % m
+        h2 = (halves[:, 1] | np.uint64(1)) % m
+        steps = np.arange(self.num_hashes, dtype=np.uint64)
+        positions = (h1[:, None] + steps[None, :] * h2[:, None]) % m
+        hit = np.zeros(len(self.bits) * 8, dtype=np.bool_)
+        hit[positions.ravel()] = True
+        self.bits |= np.packbits(hit, bitorder="little")
+        self.count += len(halves)
 
     def might_contain(self, value: object) -> bool:
         return all(self.bits[pos >> 3] & (1 << (pos & 7)) for pos in self._positions(value))
@@ -71,3 +87,8 @@ class BloomFilter:
         bf.bits = np.frombuffer(payload[6:], dtype=np.uint8).copy()
         bf.count = 0
         return bf
+
+
+def _digest(value: object) -> bytes:
+    """Process-stable 16-byte hash of ``repr(value)``."""
+    return hashlib.blake2b(repr(value).encode("utf-8"), digest_size=16).digest()

@@ -43,16 +43,18 @@ def _pack_strings(values: Sequence[str]) -> bytes:
 
 def _unpack_strings(payload: bytes) -> np.ndarray:
     (count,) = struct.unpack_from(_U32, payload, 0)
-    offsets = [0]
-    pos = _U32_SIZE
-    for _ in range(count):
-        (end,) = struct.unpack_from(_U32, payload, pos)
-        offsets.append(end)
-        pos += _U32_SIZE
-    data_start = pos
+    data_start = _U32_SIZE * (count + 1)
+    ends = np.frombuffer(payload, dtype="<u4", count=count, offset=_U32_SIZE).tolist()
+    starts = [0] + ends[:-1]
+    data = payload[data_start:]
+    if data.isascii():
+        # One decode, then str slices: ASCII byte offsets are char offsets.
+        text = data.decode("ascii")
+        values = [text[a:b] for a, b in zip(starts, ends)]
+    else:
+        values = [data[a:b].decode("utf-8") for a, b in zip(starts, ends)]
     arr = np.empty(count, dtype=object)
-    for i in range(count):
-        arr[i] = payload[data_start + offsets[i] : data_start + offsets[i + 1]].decode("utf-8")
+    arr[:] = values
     return arr
 
 
@@ -128,13 +130,6 @@ class RunLengthEncoding(Encoding):
         vbytes = payload[8 : 8 + vlen]
         lengths = np.frombuffer(payload[8 + vlen :], dtype=np.uint32, count=nruns)
         values = PlainEncoding().decode(vbytes, nruns)
-        if _is_string(values):
-            out = np.empty(count, dtype=object)
-            pos = 0
-            for v, ln in zip(values, lengths):
-                out[pos : pos + ln] = v
-                pos += ln
-            return out
         return np.repeat(values, lengths)
 
 
@@ -146,21 +141,17 @@ class DictionaryEncoding(Encoding):
 
     def encode(self, array: np.ndarray) -> bytes:
         if _is_string(array):
-            # Python-level uniquing: numpy's fixed-width unicode arrays
-            # silently strip trailing NULs, corrupting round-trips.
+            # Python-level uniquing in first-appearance order: numpy's
+            # fixed-width unicode arrays silently strip trailing NULs, and
+            # ``np.unique`` on object arrays sorts Python strings (slower).
             mapping: dict = {}
-            uniques: list = []
-            codes = np.empty(len(array), dtype=np.uint32)
-            for i, v in enumerate(array):
-                idx = mapping.get(v)
-                if idx is None:
-                    idx = len(uniques)
-                    mapping[v] = idx
-                    uniques.append(v)
-                codes[i] = idx
-            uarr = np.empty(len(uniques), dtype=object)
-            for i, u in enumerate(uniques):
-                uarr[i] = u
+            codes = np.fromiter(
+                (mapping.setdefault(v, len(mapping)) for v in array),
+                dtype=np.uint32,
+                count=len(array),
+            )
+            uarr = np.empty(len(mapping), dtype=object)
+            uarr[:] = list(mapping)
         else:
             uarr, codes = np.unique(array, return_inverse=True)
         plain = PlainEncoding()
@@ -172,11 +163,6 @@ class DictionaryEncoding(Encoding):
 
     def decode(self, payload: bytes, count: int) -> np.ndarray:
         uarr, codes = self.decode_parts(payload, count)
-        if _is_string(uarr):
-            out = np.empty(count, dtype=object)
-            for i, c in enumerate(codes):
-                out[i] = uarr[c]
-            return out
         return uarr[codes]
 
     def decode_parts(self, payload: bytes, count: int) -> "Tuple[np.ndarray, np.ndarray]":

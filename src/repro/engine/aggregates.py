@@ -266,6 +266,10 @@ def _group_order(key_arrays: Sequence[np.ndarray], num_rows: int):
     sort order (matching ``np.unique``), rows within a group in input
     order.  The single-key fast path needs no factorize pass at all —
     one argsort plus one adjacent-difference over the sorted values.
+
+    A key array may be an integer stand-in for the real key (dictionary
+    code ranks): any array that sorts and compares equal exactly like
+    the key yields the same ``(order, starts)``.
     """
     if len(key_arrays) == 1:
         col = key_arrays[0]
@@ -354,10 +358,18 @@ def partial_aggregate(
     agg_funcs: Sequence[str],
     agg_arrays: Sequence[Optional[np.ndarray]],
     num_rows: int,
+    key_codes: Optional[Sequence[Optional[np.ndarray]]] = None,
 ) -> GroupedPartial:
     """Aggregate one frame into per-group partial states.
 
     ``agg_arrays[i]`` is None for COUNT(*) (row counting needs no column).
+
+    ``key_codes[i]``, when given and not None, is an integer array that
+    orders and ties exactly like ``key_arrays[i]`` (e.g. the ranks of a
+    dictionary chunk's sorted unique strings, gathered per row).  Rows
+    are grouped and ordered on it — a radix sort of small integers
+    instead of a sort of Python objects — while the key tuples are still
+    read from ``key_arrays``, so the result is identical.
 
     All reductions are vectorized: one stable sort brings each group's
     rows together, then every aggregate computes all groups' values in a
@@ -374,7 +386,11 @@ def partial_aggregate(
         order = np.arange(num_rows, dtype=np.int64)
         starts = np.zeros(1, dtype=np.int64)
     else:
-        order, starts = _group_order(key_arrays, num_rows)
+        order_keys = list(key_arrays)
+        for i, codes in enumerate(key_codes or ()):
+            if codes is not None:
+                order_keys[i] = codes
+        order, starts = _group_order(order_keys, num_rows)
     counts = np.diff(np.append(starts, num_rows)).tolist()
     # Sorted gathers are shared between aggregates over the same column
     # (COUNT(x) / SUM(x) / AVG(x) all reference x once).

@@ -34,7 +34,6 @@ from repro.engine.operators import (
     join,
     limit_frame,
     prefix_columns,
-    scan_block,
     sort_frame,
 )
 from repro.errors import ExecutionError
@@ -184,21 +183,21 @@ def execute_scan_task(
     row order invalidates whole-block bitvectors, as with row slices).
     """
     row_slice = task.row_slice
-    if row_slice is not None:
-        layout = None  # slices are defined on base row order only
+    lo, hi = 0, block.num_rows
     if row_slice is not None:
         # Adaptive sub-task (S53): cover only rows [lo, hi) of the block.
         # The SmartIndex and B+ trees are whole-block structures — a mask
         # computed on a slice must neither consult nor feed them, or a
         # partial answer would be reused for a full-block probe.
+        layout = None  # slices are defined on base row order only
         index_manager = None
         btree_provider = None
         lo = max(0, min(int(row_slice[0]), block.num_rows))
         hi = max(lo, min(int(row_slice[1]), block.num_rows))
-        slice_rows = hi - lo
+    slice_rows = hi - lo
     report = TaskExecutionReport(
         task_id=task.task_id,
-        rows_in_block=block.num_rows if row_slice is None else slice_rows,
+        rows_in_block=slice_rows,
         scale_factor=block.scale_factor,
     )
     cnf = plan.scan_cnf
@@ -209,6 +208,8 @@ def execute_scan_task(
     )
 
     payload_columns = _payload_columns(task, plan)
+    #: Group-key column -> per-row dictionary code ranks (see ScanColumns).
+    key_ranks: Dict[str, np.ndarray] = {}
     if report.index_full_cover and mask is not None and not mask.any():
         # Fully index-covered and empty: nothing to read at all.
         frame = Frame({c: np.empty(0, dtype=_np_dtype(analyzed, task, c)) for c in payload_columns}, 0)
@@ -254,20 +255,16 @@ def execute_scan_task(
                     report.io_bytes += block.column_bytes(read_columns)
                     report.cpu_ops += OPS_PER_DECODE * block.num_rows * len(read_columns)
             report.io_seeks += 1
-        frame = scan_block(block, read_columns) if read_columns else Frame(
-            {}, block.num_rows if row_slice is None else slice_rows
-        )
-        if row_slice is not None and frame.columns:
-            frame = Frame({n: v[lo:hi] for n, v in frame.columns.items()}, slice_rows)
+        columns = ScanColumns(block, read_columns, lo, hi)
         if missing:
-            mask = _evaluate_missing(missing, frame, mask, index_manager, task, now, report)
+            mask = _evaluate_missing(missing, columns, mask, index_manager, task, now, report)
         if residuals:
-            mask = _evaluate_residuals(residuals, frame, mask, index_manager, task, now, report)
+            mask = _evaluate_residuals(residuals, columns, mask, index_manager, task, now, report)
         if mask is not None:
-            frame = apply_filter(frame, mask)
-            frame = frame.select(payload_columns)
-        else:
-            frame = frame.select(payload_columns)
+            mask = mask.astype(np.bool_, copy=False)
+        frame = columns.gather(payload_columns, mask)
+        if plan.is_aggregate and not plan.has_joins and plan.post_filter is None:
+            key_ranks = columns.ranks(_bare_group_columns(plan), mask)
     report.rows_matched = frame.num_rows
 
     qualified = plan.has_joins
@@ -283,13 +280,135 @@ def execute_scan_task(
         frame = apply_filter(frame, post_mask)
 
     if plan.is_aggregate:
-        partial = _partial_aggregate(frame, plan, qualified, report)
+        partial = _partial_aggregate(frame, plan, qualified, report, key_ranks)
         return TaskResult(task.task_id, partial=partial, report=report)
 
     output_frame = _project_task_frame(frame, plan, qualified)
     if analyzed.query.limit is not None:
         output_frame = _push_down_limit(output_frame, plan, qualified)
     return TaskResult(task.task_id, frame=output_frame, report=report)
+
+
+def dictionary_atom_mask(parts: Tuple[np.ndarray, np.ndarray], atom) -> np.ndarray:
+    """``atom.evaluate(uniques[codes])`` without decoding every row.
+
+    ``parts`` is a dictionary chunk's ``(uniques, codes)``.  The atom is
+    evaluated once per distinct value into a lookup table that is then
+    gathered through the codes.  When there are fewer rows than distinct
+    values, or the evaluator does not answer elementwise (its result lacks
+    the unique set's shape), the decoded rows are evaluated instead.
+    """
+    uniques, codes = parts
+    if len(codes) < len(uniques):
+        return np.asarray(atom.evaluate(uniques[codes]), dtype=np.bool_)
+    lut = np.asarray(atom.evaluate(uniques), dtype=np.bool_)
+    if lut.shape != uniques.shape:
+        return np.asarray(atom.evaluate(uniques[codes]), dtype=np.bool_)
+    return lut[codes]
+
+
+class ScanColumns:
+    """The read columns of one scan task, each chunk opened once.
+
+    Dictionary-encoded STRING chunks stay ``(uniques, codes)``: predicate
+    atoms are answered on the unique set (:func:`dictionary_atom_mask`),
+    GROUP BY orders on code ranks (:meth:`ranks`) and only the payload
+    rows that pass the filter are turned back into strings
+    (:meth:`gather`).  Every other chunk is decoded in full.  All columns
+    cover rows ``[lo, hi)`` of the block (an adaptive row slice).
+    """
+
+    def __init__(self, block: Block, names: Sequence[str], lo: int, hi: int):
+        self.num_rows = hi - lo
+        self.arrays: Dict[str, np.ndarray] = {}
+        self.dicts: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        whole = lo == 0 and hi == block.num_rows
+        for name in names:
+            chunk = block.chunks.get(name)
+            parts = (
+                chunk.dictionary_parts()
+                if chunk is not None and chunk.dtype is DataType.STRING
+                else None
+            )
+            if parts is not None:
+                uniques, codes = parts
+                self.dicts[name] = (uniques, codes if whole else codes[lo:hi])
+            else:
+                arr = block.column(name)
+                self.arrays[name] = arr if whole else arr[lo:hi]
+
+    def values(self, name: str) -> np.ndarray:
+        """Every row of one column, decoded (cached)."""
+        arr = self.arrays.get(name)
+        if arr is None:
+            try:
+                uniques, codes = self.dicts[name]
+            except KeyError:
+                raise ExecutionError(f"frame has no column {name!r}") from None
+            arr = self.arrays[name] = uniques[codes]
+        return arr
+
+    def frame(self) -> Frame:
+        """All columns decoded — for opaque residual expressions."""
+        return Frame({n: self.values(n) for n in [*self.dicts, *self.arrays]}, self.num_rows)
+
+    def atom_mask(self, atom, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """``atom`` over every row, or over the row indices ``rows``."""
+        parts = self.dicts.get(atom.column)
+        if parts is not None:
+            uniques, codes = parts
+            return dictionary_atom_mask((uniques, codes if rows is None else codes[rows]), atom)
+        values = self.values(atom.column)
+        return atom.evaluate(values if rows is None else values[rows])
+
+    def gather(self, names: Sequence[str], mask: Optional[np.ndarray]) -> Frame:
+        """The named columns at the rows ``mask`` keeps (all if None).
+
+        Dictionary columns are decoded at the kept rows of ``names`` only.
+        Every other read column keeps the operator-at-a-time shape — the
+        whole frame is filtered, then projected — which is the baseline
+        the fused pipeline's lazy gather is measured against.
+        """
+        if mask is None:
+            return Frame({n: self.values(n) for n in names}, self.num_rows)
+        filtered = apply_filter(Frame(self.arrays, self.num_rows), mask)
+        out = {}
+        for name in names:
+            parts = self.dicts.get(name)
+            if parts is not None:
+                uniques, codes = parts
+                out[name] = uniques[codes[mask]]
+            else:
+                out[name] = filtered.column(name)
+        return Frame(out, filtered.num_rows)
+
+    def ranks(self, names: Sequence[str], mask: Optional[np.ndarray]) -> Dict[str, np.ndarray]:
+        """Per-row rank of each dictionary column's value among its chunk's
+        unique strings, at the rows ``mask`` keeps.  Ranks order and tie
+        exactly like the strings (the uniques are distinct), so they can
+        stand in for them as group-ordering keys."""
+        out: Dict[str, np.ndarray] = {}
+        for name in names:
+            parts = self.dicts.get(name)
+            if parts is None:
+                continue
+            uniques, codes = parts
+            rank = np.empty(len(uniques), dtype=np.int64)
+            rank[np.argsort(uniques, kind="stable")] = np.arange(len(uniques))
+            out[name] = rank[codes if mask is None else codes[mask]]
+        return out
+
+
+def _bare_group_columns(plan: PhysicalPlan) -> List[str]:
+    """Scan columns the query groups by as bare column keys."""
+    analyzed = plan.analyzed
+    names = []
+    for key in analyzed.group_keys:
+        if isinstance(key, Column):
+            res = analyzed.resolutions.get((key.table, key.name))
+            if res is not None:
+                names.append(res.field.name)
+    return names
 
 
 def _np_dtype(analyzed: AnalyzedQuery, task: ScanTask, column: str):
@@ -410,7 +529,7 @@ def _btree_clause(
 
 def _evaluate_missing(
     missing: Sequence[Clause],
-    frame: Frame,
+    columns: ScanColumns,
     mask: Optional[np.ndarray],
     index_manager: Optional[SmartIndexManager],
     task: ScanTask,
@@ -422,10 +541,9 @@ def _evaluate_missing(
     for clause in missing:
         clause_mask: Optional[np.ndarray] = None
         for atom in clause.atoms:
-            values = frame.column(atom.column)
-            atom_mask = atom.evaluate(values)
+            atom_mask = columns.atom_mask(atom)
             ops = OPS_PER_CONTAINS if atom.op is BinaryOperator.CONTAINS else OPS_PER_COMPARISON
-            report.cpu_ops += ops * len(values)
+            report.cpu_ops += ops * columns.num_rows
             if index_manager is not None:
                 if index_manager.semantic:
                     index_manager.insert(
@@ -439,8 +557,8 @@ def _evaluate_missing(
                     index_manager.insert(task.block.block_id, atom, atom_mask, now)
             clause_mask = atom_mask if clause_mask is None else (clause_mask | atom_mask)
         for residual in clause.residuals:
-            res_mask = evaluate(residual, frame).astype(np.bool_)
-            report.cpu_ops += 2.0 * frame.num_rows
+            res_mask = evaluate(residual, columns.frame()).astype(np.bool_)
+            report.cpu_ops += 2.0 * columns.num_rows
             clause_mask = res_mask if clause_mask is None else (clause_mask | res_mask)
         if clause_mask is None:
             raise ExecutionError("clause with neither atoms nor residuals")
@@ -510,7 +628,7 @@ def _semantic_read_costs(
 
 def _evaluate_residuals(
     residuals: Sequence[ResidualClause],
-    frame: Frame,
+    columns: ScanColumns,
     mask: Optional[np.ndarray],
     index_manager: Optional[SmartIndexManager],
     task: ScanTask,
@@ -532,8 +650,7 @@ def _evaluate_residuals(
         idx = np.flatnonzero(cand)
         clause_sub = np.zeros(len(idx), dtype=np.bool_)
         for atom in r.clause.atoms:
-            values = frame.column(atom.column)[idx]
-            sub = np.asarray(atom.evaluate(values), dtype=np.bool_)
+            sub = np.asarray(columns.atom_mask(atom, idx), dtype=np.bool_)
             ops = OPS_PER_CONTAINS if atom.op is BinaryOperator.CONTAINS else OPS_PER_COMPARISON
             report.cpu_ops += ops * len(idx)
             if index_manager is not None:
@@ -611,11 +728,24 @@ def _rewrite(expr: Expr, mapping: Dict[Expr, Column]) -> Expr:
 
 
 def _partial_aggregate(
-    frame: Frame, plan: PhysicalPlan, qualified: bool, report: TaskExecutionReport
+    frame: Frame,
+    plan: PhysicalPlan,
+    qualified: bool,
+    report: TaskExecutionReport,
+    key_ranks: Optional[Dict[str, np.ndarray]] = None,
 ) -> GroupedPartial:
+    """``key_ranks`` maps frame columns to integer stand-ins that order
+    like them (:meth:`ScanColumns.ranks`); bare column keys found there
+    are grouped on the stand-in."""
     analyzed = plan.analyzed
     resolve = _resolver_for(analyzed, frame, qualified)
     key_arrays = [evaluate(k, frame, resolve) for k in analyzed.group_keys]
+    key_codes = None
+    if key_ranks:
+        key_codes = [
+            key_ranks.get(resolve(k)) if isinstance(k, Column) else None
+            for k in analyzed.group_keys
+        ]
     agg_arrays: List[Optional[np.ndarray]] = []
     for agg in analyzed.aggregates:
         if isinstance(agg.argument, Star):
@@ -624,7 +754,11 @@ def _partial_aggregate(
             agg_arrays.append(evaluate(agg.argument, frame, resolve))
     report.cpu_ops += 2.0 * frame.num_rows * max(1, len(analyzed.aggregates))
     return partial_aggregate(
-        key_arrays, [a.func for a in analyzed.aggregates], agg_arrays, frame.num_rows
+        key_arrays,
+        [a.func for a in analyzed.aggregates],
+        agg_arrays,
+        frame.num_rows,
+        key_codes=key_codes,
     )
 
 

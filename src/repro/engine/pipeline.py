@@ -173,14 +173,15 @@ class FusedPipeline:
         self.columns: Dict[str, np.ndarray] = {}
         #: ``(uniques, codes)`` for dictionary-encoded columns served
         #: without materializing: predicates evaluate on the unique set
-        #: (:attr:`_missing_luts`), gathers go through the codes.
+        #: (:attr:`_missing_dict_masks`), gathers go through the codes.
         self._dict: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         #: Zero-copy views of plain-encoded numeric columns.
         self._views: Dict[str, np.ndarray] = {}
-        #: Per-atom boolean lookup tables over the unique sets
-        #: (``lut[codes] == atom.evaluate(decoded)`` elementwise).
-        self._missing_luts: List[List[Optional[np.ndarray]]] = []
-        self._residual_luts: List[List[Optional[np.ndarray]]] = []
+        #: Per-atom full-block masks of atoms over dictionary columns,
+        #: answered on the unique set (:func:`~repro.engine.executor.
+        #: dictionary_atom_mask`); None for every other atom.
+        self._missing_dict_masks: List[List[Optional[np.ndarray]]] = []
+        self._residual_dict_masks: List[List[Optional[np.ndarray]]] = []
         self.morsels: List[Tuple[int, int]] = []
         self._cands: List[np.ndarray] = []
         #: Full-block per-atom masks assembled from disjoint morsel
@@ -266,16 +267,15 @@ class FusedPipeline:
     # -- morsel kernel ----------------------------------------------------
 
     def _atom_mask(
-        self, atom, lut: Optional[np.ndarray], lo: int, hi: int,
+        self, atom, dict_mask: Optional[np.ndarray], lo: int, hi: int,
         idx: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Evaluate one atom over rows ``[lo, hi)`` (or a subset ``idx``
-        of that range).  Dictionary-encoded columns map the precomputed
-        unique-set verdicts through the codes instead of touching values."""
-        if lut is not None:
-            _u, codes = self._dict[atom.column]
-            sel = codes[lo:hi]
-            return lut[sel if idx is None else sel[idx]]
+        of that range).  Dictionary-encoded columns slice the block mask
+        precomputed on the unique set instead of touching values."""
+        if dict_mask is not None:
+            sel = dict_mask[lo:hi]
+            return sel if idx is None else sel[idx]
         arr = self.columns.get(atom.column)
         if arr is None:
             arr = self._views[atom.column]
@@ -321,7 +321,7 @@ class FusedPipeline:
         for ci, clause in enumerate(self.missing):
             clause_mask: Optional[np.ndarray] = None
             for ai, atom in enumerate(clause.atoms):
-                atom_mask = self._atom_mask(atom, self._missing_luts[ci][ai], lo, hi)
+                atom_mask = self._atom_mask(atom, self._missing_dict_masks[ci][ai], lo, hi)
                 if self._atom_buffers:
                     self._atom_buffers[ci][ai][lo:hi] = atom_mask
                 clause_mask = (
@@ -345,7 +345,7 @@ class FusedPipeline:
             idx = np.flatnonzero(cand)
             clause_sub = np.zeros(len(idx), dtype=np.bool_)
             for ai, atom in enumerate(r.clause.atoms):
-                sub = self._atom_mask(atom, self._residual_luts[ri][ai], lo, hi, idx)
+                sub = self._atom_mask(atom, self._residual_dict_masks[ri][ai], lo, hi, idx)
                 if self._residual_buffers:
                     self._residual_buffers[ri][ai][lo + idx] = sub
                 clause_sub |= sub
@@ -384,8 +384,8 @@ class FusedPipeline:
         as possible.
 
         Dictionary-encoded columns stay as ``(uniques, codes)``: each
-        predicate atom becomes a boolean lookup table over the unique
-        set (computed here, once per block), and payload gathers go
+        predicate atom is answered on the unique set and mapped through
+        the codes (here, once per block), and payload gathers go
         ``uniques[codes[rows]]``.  Plain-encoded numeric columns stay as
         zero-copy views.  Only columns an opaque residual expression
         might touch — or ones in codecs without selective access — pay
@@ -412,21 +412,17 @@ class FusedPipeline:
             self.columns = {c: f.result() for c, f in futures}
         else:
             self.columns = {c: self.block.column(c) for c in need_full}
-        for luts, clauses in (
-            (self._missing_luts, [cl.atoms for cl in self.missing]),
-            (self._residual_luts, [r.clause.atoms for r in self.residuals]),
+        for masks, clauses in (
+            (self._missing_dict_masks, [cl.atoms for cl in self.missing]),
+            (self._residual_dict_masks, [r.clause.atoms for r in self.residuals]),
         ):
             for atoms in clauses:
-                row: List[Optional[np.ndarray]] = []
-                for atom in atoms:
-                    parts = self._dict.get(atom.column)
-                    if parts is None:
-                        row.append(None)
-                    else:
-                        row.append(
-                            np.asarray(atom.evaluate(parts[0]), dtype=np.bool_)
-                        )
-                luts.append(row)
+                masks.append([
+                    _exec.dictionary_atom_mask(self._dict[a.column], a)
+                    if a.column in self._dict
+                    else None
+                    for a in atoms
+                ])
 
     def _insert_index_entries(self) -> None:
         """Feed the SmartIndex once per block, in the unfused insert order."""

@@ -29,6 +29,33 @@ def test_query_raises_on_bad_syntax(client):
         client.query("SELEC x FROM T")
 
 
+def test_query_job_parses_once_client_side(client, monkeypatch):
+    import repro.client.client as client_mod
+    import repro.cluster.master as master_mod
+
+    calls = []
+    for mod in (client_mod, master_mod):
+        real = mod.parse
+
+        def counted(sql, _real=real, _name=mod.__name__):
+            calls.append(_name)
+            return _real(sql)
+
+        monkeypatch.setattr(mod, "parse", counted)
+    client.query_job("SELECT COUNT(*) FROM T WHERE c2 > 3")
+    # One client preflight parse; the master parses again as the trust boundary.
+    assert calls == ["repro.client.client", "repro.cluster.master"]
+
+
+def test_preflight_error_keeps_guided_message_and_position(client):
+    with pytest.raises(ParseError) as info:
+        client.query("SELECT a")
+    report = client.check_syntax("SELECT a")
+    assert str(info.value).startswith(report.message)
+    assert "SELECT ... FROM table" in report.message
+    assert info.value.position == report.position >= 0
+
+
 def test_query_executes_and_records_history(client):
     r = client.query("SELECT COUNT(*) FROM T WHERE c2 > 3")
     assert r.num_rows == 1
