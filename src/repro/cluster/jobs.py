@@ -198,7 +198,16 @@ class JobManager:
         #: reuses results of running jobs; a nonzero window extends that
         #: to recently finished ones (ablation knob).
         self.reuse_completed_window_s = reuse_completed_window_s
+        #: Unfinished jobs only: :meth:`finish` folds a terminal job into
+        #: the counters below, so the registry stays bounded however many
+        #: queries run.
         self.jobs: Dict[str, Job] = {}
+        self.jobs_finished = 0
+        self.jobs_succeeded = 0
+        self.jobs_failed = 0
+        self.jobs_timed_out = 0
+        #: Results dumped to global storage, by any job, finished or not.
+        self.results_spilled = 0
         self._in_flight: Dict[Tuple, Event] = {}
         self._completed: Dict[Tuple, Tuple[TaskResult, float]] = {}
         self.reuse_hits_running = 0
@@ -206,6 +215,20 @@ class JobManager:
 
     def register(self, job: Job) -> None:
         self.jobs[job.job_id] = job
+
+    def finish(self, job: Job) -> None:
+        """Retire a terminal job into the counters (idempotent)."""
+        if self.jobs.pop(job.job_id, None) is None:
+            return
+        self.jobs_finished += 1
+        self.jobs_succeeded += job.status is JobStatus.SUCCEEDED
+        self.jobs_failed += job.status is JobStatus.FAILED
+        self.jobs_timed_out += job.status is JobStatus.TIMED_OUT
+
+    @property
+    def jobs_total(self) -> int:
+        """Every job ever registered."""
+        return self.jobs_finished + len(self.jobs)
 
     # -- task reuse ------------------------------------------------------
 
@@ -238,12 +261,3 @@ class JobManager:
                 self._completed[sig] = (ev.value, self.sim.now)
 
         done.add_callback(on_done)
-
-    # -- reporting ---------------------------------------------------------
-
-    def finished_jobs(self) -> List[Job]:
-        return [
-            j
-            for j in self.jobs.values()
-            if j.status in (JobStatus.SUCCEEDED, JobStatus.FAILED, JobStatus.TIMED_OUT)
-        ]

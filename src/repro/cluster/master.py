@@ -350,6 +350,7 @@ class Master:
 
     def _record_terminal(self, job: Job) -> None:
         self._active.pop(job.job_id, None)
+        self.job_manager.finish(job)
         if job.trace is not None and job.trace.root is not None:
             # Close the root and clamp any attempt spans a timeout or
             # cancel left open; root duration == job.response_time_s.
@@ -482,6 +483,8 @@ class Master:
         return self._job_process(job, done)
 
     def _job_process(self, job: Job, done: Event) -> Generator[Event, None, None]:
+        if job.status is not JobStatus.PENDING:
+            return  # cancelled or failed over before its first step
         job.status = JobStatus.RUNNING
         plan = job.plan
         root = job.trace.root if job.trace is not None else None
@@ -608,6 +611,8 @@ class Master:
         """
         from repro.planner.adaptive import ReoptController, plan_fingerprint
 
+        if job.status is not JobStatus.PENDING:
+            return  # cancelled or failed over before its first step
         job.status = JobStatus.RUNNING
         plan = job.plan
         root = job.trace.root if job.trace is not None else None
@@ -1065,7 +1070,8 @@ class Master:
                     ship_span.tag("traffic_class", "write")
                     ship_span.finish(self.sim.now)
             result = yield from leaf.run_task(task, job.plan, broadcasts, span=span)
-            modeled = result.modeled_payload_bytes()
+            payload = result.payload_bytes()
+            modeled = result.modeled_payload_bytes(payload)
             return_span = span.child("result_return", self.sim.now) if span is not None else None
             if modeled > job.options.spill_threshold_bytes:
                 # §V-C write flow: too-big results are dumped to global
@@ -1078,7 +1084,6 @@ class Master:
             else:
                 # Result summarized bottom-up through every live internal
                 # node: leaf → rack stem [→ dc stem] → master (read flow).
-                payload = result.payload_bytes()
                 stems_crossed = 0
                 hop_from = leaf.address
                 for stem in self._aggregation_path(leaf.address):
@@ -1148,6 +1153,7 @@ class Master:
         fetched = deserialize_result(spill_system.read(inner))
         spill_system.delete(inner)
         job.stats.results_spilled += 1
+        self.job_manager.results_spilled += 1
         return fetched
 
     def _spill_system(self):

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.cluster.jobs import JobStatus
-
 
 @dataclass
 class DeviceMetrics:
@@ -132,14 +130,14 @@ def collect_metrics(cluster) -> ClusterMetrics:
     )
     m.index_memory_bytes = cluster.index_memory_used()
 
-    jobs = cluster.master.job_manager.jobs.values()
-    m.jobs_total = len(jobs)
-    m.jobs_succeeded = sum(j.status is JobStatus.SUCCEEDED for j in jobs)
-    m.jobs_failed = sum(j.status is JobStatus.FAILED for j in jobs)
-    m.jobs_timed_out = sum(j.status is JobStatus.TIMED_OUT for j in jobs)
+    manager = cluster.master.job_manager
+    m.jobs_total = manager.jobs_total
+    m.jobs_succeeded = manager.jobs_succeeded
+    m.jobs_failed = manager.jobs_failed
+    m.jobs_timed_out = manager.jobs_timed_out
     m.heartbeats_received = cluster.cluster_manager.heartbeats_received
     m.jobs_queued = cluster.master.queued_jobs
-    m.results_spilled = sum(j.stats.results_spilled for j in jobs)
+    m.results_spilled = manager.results_spilled
 
     gateway = getattr(cluster, "gateway", None)
     if gateway is not None:

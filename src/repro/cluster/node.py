@@ -322,7 +322,7 @@ class LeafServer:
                 )
             else:
                 payload = system.read(inner)
-            block = Block.from_bytes(payload)
+            block = system.block(inner, payload)
             if (
                 self.config.enable_fused_pipelines
                 and task.row_slice is None

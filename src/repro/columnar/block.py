@@ -56,9 +56,17 @@ class ChunkStats:
 
 
 class ColumnChunk:
-    """One encoded column inside a block."""
+    """One encoded column inside a block.
 
-    __slots__ = ("name", "dtype", "encoding_tag", "payload", "stats", "row_count")
+    ``payload`` is ``bytes`` for a chunk built from arrays and a
+    zero-copy ``memoryview`` slice of the stored block for a parsed one.
+    A chunk of a *shared* block (one parse handed to every reader, see
+    :meth:`repro.storage.base.StorageSystem.block`) memoizes its decodes:
+    each is computed once, marked read-only, and returned to every later
+    caller.  Any other chunk decodes afresh on every call.
+    """
+
+    __slots__ = ("name", "dtype", "encoding_tag", "payload", "stats", "row_count", "_memo")
 
     def __init__(
         self,
@@ -68,6 +76,7 @@ class ColumnChunk:
         payload: bytes,
         stats: ChunkStats,
         row_count: int,
+        shared: bool = False,
     ):
         self.name = name
         self.dtype = dtype
@@ -75,6 +84,7 @@ class ColumnChunk:
         self.payload = payload
         self.stats = stats
         self.row_count = row_count
+        self._memo: Optional[dict] = {} if shared else None
 
     @classmethod
     def from_array(cls, name: str, dtype: DataType, array: np.ndarray) -> "ColumnChunk":
@@ -82,8 +92,29 @@ class ColumnChunk:
         stats = _compute_stats(array, dtype)
         return cls(name, dtype, codec.tag, codec.encode(array), stats, len(array))
 
+    def _memoized(self, key: str, compute):
+        """``compute()``, published read-only once per shared chunk.
+
+        Scan threads may race on a miss; each computes, and the first
+        value stored is the one every caller gets."""
+        memo = self._memo
+        if memo is None:
+            return compute()
+        try:
+            return memo[key]
+        except KeyError:
+            pass
+        value = compute()
+        for arr in value if isinstance(value, tuple) else (value,):
+            if arr is not None:
+                arr.flags.writeable = False
+        return memo.setdefault(key, value)
+
     def decode(self) -> np.ndarray:
-        return codec_by_tag(self.encoding_tag).decode(self.payload, self.row_count)
+        return self._memoized(
+            "decode",
+            lambda: codec_by_tag(self.encoding_tag).decode(self.payload, self.row_count),
+        )
 
     def dictionary_parts(self) -> "Optional[tuple]":
         """``(uniques, codes)`` when dictionary-encoded, else None.
@@ -96,14 +127,30 @@ class ColumnChunk:
         codec = codec_by_tag(self.encoding_tag)
         if not hasattr(codec, "decode_parts"):
             return None
-        return codec.decode_parts(self.payload, self.row_count)
+        return self._memoized(
+            "parts", lambda: codec.decode_parts(self.payload, self.row_count)
+        )
+
+    def dictionary_ranks(self) -> np.ndarray:
+        """Rank of each of :meth:`dictionary_parts`' uniques among them.
+
+        The uniques are distinct, so ``ranks[codes]`` orders and ties
+        exactly like the strings themselves (GROUP BY on code ranks)."""
+
+        def compute() -> np.ndarray:
+            uniques, _codes = self.dictionary_parts()
+            rank = np.empty(len(uniques), dtype=np.int64)
+            rank[np.argsort(uniques, kind="stable")] = np.arange(len(uniques))
+            return rank
+
+        return self._memoized("ranks", compute)
 
     def plain_view(self) -> Optional[np.ndarray]:
         """Zero-copy read-only view when plain-encoded numeric, else None."""
         codec = codec_by_tag(self.encoding_tag)
         if not hasattr(codec, "decode_view"):
             return None
-        return codec.decode_view(self.payload, self.row_count)
+        return self._memoized("view", lambda: codec.decode_view(self.payload, self.row_count))
 
     @property
     def encoded_bytes(self) -> int:
@@ -224,21 +271,30 @@ class Block:
         return b"".join(parts)
 
     @classmethod
-    def from_bytes(cls, payload: bytes) -> "Block":
-        if payload[:4] != _MAGIC:
+    def from_bytes(cls, payload: bytes, shared: bool = False) -> "Block":
+        """Parse a :meth:`to_bytes` layout without copying chunk payloads:
+        each chunk's payload is a ``memoryview`` slice of ``payload``.
+
+        ``shared`` marks the one parse storage hands to every reader of a
+        stored payload; its chunks memoize their decodes read-only.  A
+        private parse (the default) decodes afresh on every call, so its
+        arrays are the caller's to keep or modify.
+        """
+        buf = memoryview(payload)
+        if buf[:4] != _MAGIC:
             raise StorageError("not a Feisu columnar block (bad magic)")
-        (hlen,) = struct.unpack_from("<I", payload, 4)
-        header = json.loads(payload[8 : 8 + hlen].decode("utf-8"))
+        (hlen,) = struct.unpack_from("<I", buf, 4)
+        header = json.loads(bytes(buf[8 : 8 + hlen]))
         schema = Schema.from_dict(header["schema"])
         pos = 8 + hlen
         chunks: Dict[str, ColumnChunk] = {}
         for spec in header["chunks"]:
-            raw = payload[pos : pos + spec["length"]]
+            raw = buf[pos : pos + spec["length"]]
             pos += spec["length"]
             dtype = DataType(spec["dtype"])
             stats = ChunkStats(spec["min"], spec["max"], spec["distinct"])
             chunks[spec["name"]] = ColumnChunk(
-                spec["name"], dtype, spec["encoding"], raw, stats, header["num_rows"]
+                spec["name"], dtype, spec["encoding"], raw, stats, header["num_rows"], shared
             )
         return cls(
             header["block_id"], schema, chunks, header["num_rows"], header["scale_factor"]

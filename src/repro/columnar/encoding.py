@@ -12,7 +12,9 @@ All codecs are self-describing round-trippers::
     assert (array == array2).all()
 
 Strings travel as UTF-8 with an offsets vector; numerics as little-endian
-numpy buffers.
+numpy buffers.  Every ``decode`` accepts any bytes-like payload, including
+a ``memoryview`` slice of a stored block (:meth:`Block.from_bytes` parses
+without copying chunk payloads).
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from repro.errors import StorageError
 
 _U32 = "<I"
 _U32_SIZE = 4
+#: Bytes covering a plain numeric chunk's ``n<dtype>\x00`` header.
+_DTYPE_HEAD = 32
 
 
 def _pack_strings(values: Sequence[str]) -> bytes:
@@ -46,7 +50,9 @@ def _unpack_strings(payload: bytes) -> np.ndarray:
     data_start = _U32_SIZE * (count + 1)
     ends = np.frombuffer(payload, dtype="<u4", count=count, offset=_U32_SIZE).tolist()
     starts = [0] + ends[:-1]
-    data = payload[data_start:]
+    # ``payload`` may be a memoryview of a stored block (zero-copy parse);
+    # the string bytes are copied once here to be decoded.
+    data = bytes(payload[data_start:])
     if data.isascii():
         # One decode, then str slices: ASCII byte offsets are char offsets.
         text = data.decode("ascii")
@@ -105,10 +111,11 @@ class PlainEncoding(Encoding):
         ``frombuffer`` with an explicit offset avoids slicing (copying)
         the multi-megabyte payload just to skip the tiny header.
         """
-        if payload[:1] == b"s":
+        head = bytes(payload[:_DTYPE_HEAD])
+        if head[:1] == b"s":
             return None
-        sep = payload.index(b"\x00", 1)
-        dtype = np.dtype(payload[1:sep].decode())
+        sep = head.index(b"\x00", 1)
+        dtype = np.dtype(head[1:sep].decode())
         return np.frombuffer(payload, dtype=dtype, count=count, offset=sep + 1)
 
 

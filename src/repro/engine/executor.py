@@ -122,21 +122,22 @@ class TaskResult:
             return self.partial.estimated_bytes()
         if self.frame is not None:
             return 64 + sum(
-                v.nbytes if v.dtype != object else sum(len(str(x)) + 8 for x in v)
+                v.nbytes if v.dtype != object else sum(map(len, map(str, v))) + 8 * len(v)
                 for v in self.frame.columns.values()
             )
         return 64
 
-    def modeled_payload_bytes(self) -> float:
-        """Production-scale wire size.
+    def modeled_payload_bytes(self, payload_bytes: int) -> float:
+        """Production-scale wire size of a result whose
+        :meth:`payload_bytes` is ``payload_bytes``.
 
         Row frames scale with the data (each materialized row models
         ``scale_factor`` production rows); aggregate partials don't —
         their size tracks group cardinality, which is scale-invariant.
         """
         if self.frame is not None and self.report is not None:
-            return self.payload_bytes() * self.report.scale_factor
-        return float(self.payload_bytes())
+            return payload_bytes * self.report.scale_factor
+        return float(payload_bytes)
 
 
 def _resolver_for(analyzed: AnalyzedQuery, frame: Frame, qualified: bool):
@@ -320,6 +321,7 @@ class ScanColumns:
 
     def __init__(self, block: Block, names: Sequence[str], lo: int, hi: int):
         self.num_rows = hi - lo
+        self.chunks = block.chunks
         self.arrays: Dict[str, np.ndarray] = {}
         self.dicts: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         whole = lo == 0 and hi == block.num_rows
@@ -392,9 +394,8 @@ class ScanColumns:
             parts = self.dicts.get(name)
             if parts is None:
                 continue
-            uniques, codes = parts
-            rank = np.empty(len(uniques), dtype=np.int64)
-            rank[np.argsort(uniques, kind="stable")] = np.arange(len(uniques))
+            codes = parts[1]
+            rank = self.chunks[name].dictionary_ranks()
             out[name] = rank[codes if mask is None else codes[mask]]
         return out
 

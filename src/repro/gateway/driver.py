@@ -133,6 +133,9 @@ def run_sessions(
 ) -> MultiSessionReport:
     """Replay ``traces`` concurrently and drain the gateway.
 
+    Each session closes right after its last submission, so the gateway
+    keeps no finished session; every handle stays in ``gateway.queries``.
+
     Users referenced by the traces must already exist on the cluster
     (with read grants); :class:`~repro.errors.GatewayOverloadedError`
     rejections are counted, any other submission error propagates.
@@ -145,17 +148,28 @@ def run_sessions(
     handles: List[GatewayQuery] = []
     sessions: List[GatewaySession] = []
 
+    #: Submissions still due per session; the last one closes it.
+    unsent: Dict[str, int] = {}
+
     def _submit(session: GatewaySession, sql: str) -> None:
         pending["submits"] -= 1
         try:
             handles.append(session.submit(sql))
         except GatewayOverloadedError:
             pass  # counted on the tenant queue
+        unsent[session.session_id] -= 1
+        if not unsent[session.session_id]:
+            del unsent[session.session_id]
+            session.close()
 
     def _open(trace: SessionTrace) -> None:
         pending["opens"] -= 1
         session = gateway.open_session(trace.user, tenant=trace.tenant)
         sessions.append(session)
+        if trace.queries:
+            unsent[session.session_id] = len(trace.queries)
+        else:
+            session.close()
         for tq in trace.queries:
             sim.schedule(max(0.0, tq.at_s - (sim.now - start)), _submit, session, tq.sql)
 

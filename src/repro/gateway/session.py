@@ -223,9 +223,13 @@ class GatewaySession:
         return [q for q in self.queries if not q.terminal]
 
     def close(self) -> None:
-        """Stop accepting submissions; in-flight queries finish normally."""
+        """Stop accepting submissions; in-flight queries finish normally.
+
+        The gateway forgets the session; its handles stay reachable
+        through ``gateway.queries``."""
         if self.state is SessionState.OPEN:
             self.state = SessionState.CLOSED
+        self.gateway.sessions.pop(self.session_id, None)
 
     def kill(self) -> int:
         """Tear the session down: queued queries resolve ``KILLED``

@@ -19,6 +19,7 @@ import abc
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.columnar.block import Block
 from repro.errors import PathError, StorageError
 from repro.sim.netmodel import NodeAddress
 
@@ -57,6 +58,11 @@ class StorageSystem(abc.ABC):
         #: depend on them.  Each entry is ``(bytes, meta)`` where meta is
         #: an opaque JSON-able dict describing the layout.
         self._variants: Dict[str, Dict[NodeAddress, Tuple[bytes, Optional[dict]]]] = {}
+        #: One parsed :class:`Block` per stored payload object (base or
+        #: variant), keyed ``path -> id(payload) -> (payload, block)``.  An
+        #: entry lives exactly as long as its payload is stored: the four
+        #: methods that replace or drop stored bytes drop it too.
+        self._parsed: Dict[str, Dict[int, Tuple[bytes, Block]]] = {}
 
     # -- namespace ------------------------------------------------------
 
@@ -72,6 +78,7 @@ class StorageSystem(abc.ABC):
         # A rewritten base payload invalidates every replica variant: the
         # variants were derived from the old bytes.
         self._variants.pop(path, None)
+        self._parsed.pop(path, None)
 
     def read(self, path: str) -> bytes:
         try:
@@ -91,6 +98,34 @@ class StorageSystem(abc.ABC):
         del self._files[path]
         del self._placement[path]
         self._variants.pop(path, None)
+        self._parsed.pop(path, None)
+
+    def block(self, path: str, payload: bytes) -> Block:
+        """``payload`` parsed as a :class:`Block`, once per stored payload.
+
+        ``payload`` is what a read of ``path`` returned: the base bytes
+        or a replica's variant.  While those exact bytes stay stored,
+        every reader gets the same shared block, whose chunks memoize
+        their decodes as read-only arrays.  Bytes this system does not
+        store at ``path`` get a private, uncached parse.
+        """
+        entries = self._parsed.get(path)
+        hit = entries.get(id(payload)) if entries is not None else None
+        if hit is not None and hit[0] is payload:
+            return hit[1]
+        stored = payload is self._files.get(path) or any(
+            data is payload for data, _meta in self._variants.get(path, {}).values()
+        )
+        block = Block.from_bytes(payload, shared=stored)
+        if stored:
+            self._parsed.setdefault(path, {})[id(payload)] = (payload, block)
+        return block
+
+    def _unparse(self, path: str, payload: Optional[bytes]) -> None:
+        """Drop the parse of ``payload`` (a variant being replaced)."""
+        entries = self._parsed.get(path)
+        if entries is not None and payload is not None:
+            entries.pop(id(payload), None)
 
     # -- per-replica layout variants (S54) -------------------------------
 
@@ -106,6 +141,7 @@ class StorageSystem(abc.ABC):
                 f"{self.name}: {node} holds no replica of {path!r}; "
                 "cannot attach a layout variant"
             )
+        self._unparse(path, self.replica_variant(path, node))
         self._variants.setdefault(path, {})[node] = (bytes(data), meta)
 
     def replica_variant(self, path: str, node: NodeAddress) -> Optional[bytes]:
@@ -128,7 +164,9 @@ class StorageSystem(abc.ABC):
         """Retract a variant; the replica falls back to the base payload."""
         per_node = self._variants.get(path)
         if per_node is not None:
-            per_node.pop(node, None)
+            entry = per_node.pop(node, None)
+            if entry is not None:
+                self._unparse(path, entry[0])
             if not per_node:
                 del self._variants[path]
 

@@ -80,13 +80,33 @@ def _dictionary_block(arrays):
 # -- codecs ------------------------------------------------------------------
 
 
-@given(string_columns())
-def test_string_round_trip_is_exact_under_every_codec(arr):
+@given(string_columns(), st.binary(max_size=3), st.binary(max_size=3))
+def test_string_round_trip_is_exact_under_every_codec(arr, before, after):
     for codec in (PlainEncoding(), RunLengthEncoding(), DictionaryEncoding()):
-        out = codec.decode(codec.encode(arr), len(arr))
-        assert out.dtype == object
-        assert out.tolist() == arr.tolist(), codec.name
-        assert all(type(v) is str for v in out)
+        payload = codec.encode(arr)
+        # A parsed chunk's payload is a zero-copy slice of the stored block.
+        view = memoryview(before + payload + after)[len(before) : len(before) + len(payload)]
+        for buf in (payload, view):
+            out = codec.decode(buf, len(arr))
+            assert out.dtype == object
+            assert out.tolist() == arr.tolist(), codec.name
+            assert all(type(v) is str for v in out)
+            if hasattr(codec, "decode_parts"):
+                uniques, codes = codec.decode_parts(buf, len(arr))
+                assert uniques[codes].tolist() == arr.tolist()
+
+
+@given(string_columns())
+def test_shared_parse_matches_a_private_one_read_only(arr):
+    stored = Block.from_arrays("t.b0", Schema.of(s=DataType.STRING), {"s": arr}).to_bytes()
+    shared = Block.from_bytes(stored, shared=True).chunks["s"]
+    private = Block.from_bytes(stored).chunks["s"]
+    assert shared.decode().tolist() == private.decode().tolist() == arr.tolist()
+    assert shared.decode() is shared.decode() and not shared.decode().flags.writeable
+    assert private.decode() is not private.decode()
+    if private.dictionary_parts() is not None:
+        assert shared.dictionary_ranks().tolist() == private.dictionary_ranks().tolist()
+        assert not shared.dictionary_ranks().flags.writeable
 
 
 @given(string_columns())

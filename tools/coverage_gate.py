@@ -42,6 +42,7 @@ TARGET_DIRS = (
 #: Test files that exercise the gated packages.
 TEST_ARGS = [
     "tests/chaos",
+    "tests/test_block_cache.py",
     "tests/test_cluster_domains.py",
     "tests/test_cluster_features.py",
     "tests/test_cluster_jobs_unit.py",
